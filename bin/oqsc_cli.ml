@@ -14,10 +14,6 @@
      merge - recombine a complete --shard document set into bytes
              identical to the unsharded run
      trace-lint - structurally validate an oqsc-trace document
-     tune  - sweep the kernel scheduling parameters with timed
-             micro-runs and emit an oqsc-tune profile document
-     tune-lint - validate an oqsc-tune profile (schema +
-             self-consistency against its telemetry)
      exp   - run one experiment (e1..e15) or all of them
      vm    - list, disassemble, or run the bytecode-compiled machine
              gallery (lib/vm)
@@ -34,40 +30,6 @@ open Mathx
 let read_input = function
   | "-" -> In_channel.input_all In_channel.stdin |> String.trim
   | path -> In_channel.with_open_text path In_channel.input_all |> String.trim
-
-(* ------------------------------------------------------- tune profiles *)
-
-(* Shared startup hook for the run commands: install an oqsc-tune
-   scheduling profile from --tune-profile, falling back to the
-   OQSC_TUNE_PROFILE environment variable.  Loading is all-or-nothing —
-   a profile that does not parse leaves every parameter untouched and
-   fails the command, so a typo can never half-apply. *)
-let load_tune_profile flag =
-  let install path =
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error msg -> Error ("--tune-profile: " ^ msg)
-    | raw -> (
-        match Experiments.Tune_doc.parse_string raw with
-        | Error msg ->
-            Error (Printf.sprintf "--tune-profile %s: %s" path msg)
-        | Ok profile ->
-            Experiments.Tune_doc.apply profile;
-            Ok ())
-  in
-  match flag with
-  | Some path -> install path
-  | None -> (
-      match Sys.getenv_opt "OQSC_TUNE_PROFILE" with
-      | None | Some "" -> Ok ()
-      | Some path -> install path)
-
-let tune_profile_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some string) None
-    & info [ "tune-profile" ] ~docv:"FILE"
-        ~doc:
-          "Load an oqsc-tune scheduling profile (written by 'oqsc tune'; spec in docs/SCHEMA.md) before running; also read from $(b,OQSC_TUNE_PROFILE) when the flag is absent. Profiles set parallel thresholds, chunk grains, and a domain cap — pure scheduling, so any valid profile leaves every output byte unchanged (CI cmp-enforces this).")
 
 (* ------------------------------------------------------------------ gen *)
 
@@ -238,10 +200,7 @@ let run_all_cmd =
             "Execute circuits through the lib/vm bytecode engine instead of the gate-IR walker (also enabled by OQSC_COMPILED=1). Compiled programs are memoised per (experiment, seed, variant); results are bit-identical to the walker, so the --json document does not change — CI holds the two paths byte-equal.")
   in
   let action quick seed only sequential domains json_file timing check tolerance quiet
-      trace_file shard compiled tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+      trace_file shard compiled =
     if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
     let only =
       Option.map
@@ -375,8 +334,7 @@ let run_all_cmd =
     Term.(
       ret
         (const action $ quick $ seed $ only $ sequential $ domains $ json_file
-       $ timing $ check $ tolerance $ quiet $ trace_file $ shard $ compiled
-       $ tune_profile_arg))
+       $ timing $ check $ tolerance $ quiet $ trace_file $ shard $ compiled))
 
 (* ---------------------------------------------------------- space-audit *)
 
@@ -429,10 +387,7 @@ let space_audit_cmd =
     | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
     | () -> k ()
   in
-  let action quick seed json_file quiet timing shard tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+  let action quick seed json_file quiet timing shard =
     match
       match shard with
       | None -> Ok None
@@ -487,10 +442,7 @@ let space_audit_cmd =
     (Cmd.info "space-audit"
        ~doc:
          "Sweep k, fit space-scaling exponents for the classical and quantum machines, and exit non-zero unless the classical slope lands in its n^(1/3) band and the quantum data prefers the logarithmic model.")
-    Term.(
-      ret
-        (const action $ quick $ seed $ json_file $ quiet $ timing $ shard
-       $ tune_profile_arg))
+    Term.(ret (const action $ quick $ seed $ json_file $ quiet $ timing $ shard))
 
 (* ---------------------------------------------------------------- merge *)
 
@@ -798,10 +750,7 @@ let serve_cmd =
             "Periodically (and at exit) write the metrics registry in Prometheus text exposition format to FILE, atomically via rename. The same snapshot a v2 metrics request serves as JSON.")
   in
   let action socket queue batch domains max_clients compiled trace_file
-      log_file metrics_file tune_profile =
-    match load_tune_profile tune_profile with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+      log_file metrics_file =
     if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
     if queue < 1 then `Error (false, "serve: --queue must be >= 1")
     else if batch < 1 then `Error (false, "serve: --batch must be >= 1")
@@ -900,7 +849,7 @@ let serve_cmd =
     Term.(
       ret
         (const action $ socket $ queue $ batch $ domains $ max_clients
-       $ compiled $ trace_file $ log_file $ metrics_file $ tune_profile_arg))
+       $ compiled $ trace_file $ log_file $ metrics_file))
 
 (* ---------------------------------------------------------- bench-serve *)
 
@@ -1059,107 +1008,9 @@ let ids_cmd =
   in
   Cmd.v (Cmd.info "ids" ~doc:"List experiment ids.") Term.(const action $ const ())
 
-(* ----------------------------------------------------------------- tune *)
-
-let tune_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Sweep fewer sizes, grains, and rounds (seconds instead of a minute) — the CI setting.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 2006
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for the map_chunks micro-workload.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Cap the sweep at N domains and record the cap in the profile.")
-  in
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the chosen profile as a canonical oqsc-tune v1 document to FILE (- for stdout), telemetry included.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the summary table.")
-  in
-  let action quick seed domains json_file quiet =
-    let profile = Experiments.Tune.sweep ?domains ~quick ~seed () in
-    if not quiet then begin
-      (* --json - owns stdout: keep the human table off it *)
-      let fmt =
-        if json_file = Some "-" then Format.err_formatter
-        else Format.std_formatter
-      in
-      Experiments.Tune.render fmt profile;
-      Format.pp_print_flush fmt ()
-    end;
-    let text () = Experiments.Tune_doc.to_string profile in
-    match
-      match json_file with
-      | Some "-" -> print_string (text ())
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (text ()))
-      | None -> ()
-    with
-    | exception Sys_error msg -> `Error (false, "--json: " ^ msg)
-    | () -> `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Sweep the per-kernel-class parallel thresholds and chunk grains (and the map_chunks runner's spawn threshold and steal grain) with Obs.Trace-timed micro-runs, and emit the chosen oqsc-tune profile for --tune-profile / OQSC_TUNE_PROFILE. Profiles affect scheduling only: loading any valid profile leaves every gated output byte unchanged.")
-    Term.(ret (const action $ quick $ seed $ domains $ json_file $ quiet))
-
-let tune_lint_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"An oqsc-tune profile document written by 'oqsc tune --json'.")
-  in
-  let action file =
-    match In_channel.with_open_text file In_channel.input_all with
-    | exception Sys_error msg -> `Error (false, "tune-lint: " ^ msg)
-    | raw -> (
-        match Experiments.Json.parse raw with
-        | Error msg -> `Error (false, Printf.sprintf "tune-lint %s: %s" file msg)
-        | Ok doc -> (
-            match Experiments.Tune_doc.lint doc with
-            | Ok { Experiments.Tune_doc.kernels; rows; domains } ->
-                Printf.printf
-                  "tune profile OK: %d kernel(s), %d telemetry row(s), domain cap %s\n"
-                  kernels rows
-                  (match domains with
-                  | None -> "none"
-                  | Some d -> string_of_int d);
-                `Ok ()
-            | Error problems ->
-                List.iter (fun p -> Printf.eprintf "TUNE %s\n" p) problems;
-                Printf.eprintf "tune-lint FAILED: %d problem(s) in %s\n"
-                  (List.length problems) file;
-                exit 1))
-  in
-  Cmd.v
-    (Cmd.info "tune-lint"
-       ~doc:
-         "Validate an oqsc-tune profile: strict schema (unknown keys, kernel coverage, positive parameters) plus self-consistency — the chosen grains and thresholds must be traceable to the telemetry the document carries.")
-    Term.(ret (const action $ file))
-
 let main =
   let doc = "quantum vs classical online space complexity (Le Gall, SPAA 2006) — reproduction" in
   Cmd.group (Cmd.info "oqsc" ~version:"1.0.0" ~doc)
-    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; tune_cmd; tune_lint_cmd; exp_cmd; ne_cmd; vm_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
+    [ gen_cmd; run_cmd; run_all_cmd; space_audit_cmd; merge_cmd; trace_lint_cmd; log_lint_cmd; exp_cmd; ne_cmd; vm_cmd; serve_cmd; bench_serve_cmd; ids_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -5,17 +5,23 @@
     computation overflows the 63-bit native integer. *)
 
 val addmod : int -> int -> int -> int
-(** [addmod a b m] is [(a + b) mod m]. *)
+(** [addmod a b m] is [(a + b) mod m] for operands [0 <= a, b < m];
+    other operands are not reduced and give unspecified results. *)
 
 val submod : int -> int -> int -> int
-(** [submod a b m] is [(a - b) mod m], always in [0, m). *)
+(** [submod a b m] is [(a - b) mod m], in [0, m), for operands
+    [0 <= a, b < m]; other operands give unspecified results. *)
 
 val mulmod : int -> int -> int -> int
-(** [mulmod a b m] is [(a * b) mod m], computed without overflow for any
-    modulus below [2^61] (binary double-and-add). *)
+(** [mulmod a b m] is [(a * b) mod m] for operands [0 <= a, b < m],
+    computed without overflow for any modulus below [2^61] (binary
+    double-and-add above [2^31]).  Operands are not reduced: outside
+    [0, m) the result is unspecified (for [m > 2^31], [mulmod (3m+5) 1 m]
+    is not [5]). *)
 
 val powmod : int -> int -> int -> int
-(** [powmod a e m] is [a^e mod m] for [e >= 0] (square-and-multiply). *)
+(** [powmod a e m] is [a^e mod m] for [a >= 0] and [e >= 0]
+    (square-and-multiply; [a] is reduced first, so it may exceed [m]). *)
 
 val gcd : int -> int -> int
 (** [gcd a b] is the non-negative greatest common divisor. *)

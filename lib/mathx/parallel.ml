@@ -1,40 +1,6 @@
-(* ----------------------------------------------- tunable scheduling *)
-
-(* Every knob in this block affects scheduling only, never results:
-   chunk results are combined in chunk order, reductions keep their own
-   fixed decomposition (below), and map kernels write disjoint elements
-   so any split is bit-identical.  That is the contract that lets an
-   [oqsc-tune] profile (Experiments.Tune_doc) set these at startup
-   without moving a byte of gated JSON. *)
-
-let default_map_grain = 2048
-let default_map_chunks_grain = 1
-let default_map_chunks_spawn_min = 2
-
-let map_grain_ref = ref default_map_grain
-let map_chunks_grain_ref = ref default_map_chunks_grain
-let map_chunks_spawn_min_ref = ref default_map_chunks_spawn_min
-let domain_cap_ref = ref None
-
-let positive what v = if v < 1 then invalid_arg ("Parallel." ^ what) else v
-
-let map_grain () = !map_grain_ref
-let set_map_grain g = map_grain_ref := positive "set_map_grain: grain < 1" g
-let map_chunks_grain () = !map_chunks_grain_ref
-let set_map_chunks_grain g =
-  map_chunks_grain_ref := positive "set_map_chunks_grain: grain < 1" g
-let map_chunks_spawn_min () = !map_chunks_spawn_min_ref
-let set_map_chunks_spawn_min t =
-  map_chunks_spawn_min_ref := positive "set_map_chunks_spawn_min: threshold < 1" t
-let domain_cap () = !domain_cap_ref
-let set_domain_cap = function
-  | Some d when d < 1 -> invalid_arg "Parallel.set_domain_cap: cap < 1"
-  | cap -> domain_cap_ref := cap
-
 let recommended_domains () =
   let cores = Domain.recommended_domain_count () in
-  let base = max 1 (min 8 (cores - 1)) in
-  match !domain_cap_ref with None -> base | Some cap -> min cap base
+  max 1 (min 8 (cores - 1))
 
 let map_chunks ?domains ~chunks f ~rng =
   if chunks < 0 then invalid_arg "Parallel.map_chunks: negative chunk count";
@@ -67,32 +33,22 @@ let map_chunks ?domains ~chunks f ~rng =
                 f ~chunk:i ~rng:rngs.(i)))
   in
   let results = Array.make chunks None in
-  (* Work-stealing granularity: [map_chunks_grain] consecutive chunks
-     per stolen task.  Each chunk still gets its own PRNG split, sink,
-     and result slot, and tasks cover disjoint chunk ranges, so the
-     grouping is pure scheduling — grain 1 (the default) steals chunk
-     by chunk exactly as before. *)
-  let grain = !map_chunks_grain_ref in
-  let tasks = if chunks = 0 then 0 else (chunks + grain - 1) / grain in
   let next = Atomic.make 0 in
   let worker () =
     let rec loop () =
-      let j = Atomic.fetch_and_add next 1 in
-      if j < tasks then begin
-        for i = j * grain to min ((j + 1) * grain) chunks - 1 do
-          results.(i) <- Some (call i)
-        done;
+      let i = Atomic.fetch_and_add next 1 in
+      if i < chunks then begin
+        results.(i) <- Some (call i);
         loop ()
       end
     in
     loop ()
   in
-  if domains <= 1 || chunks < !map_chunks_spawn_min_ref || tasks <= 1 then
-    worker ()
+  if domains <= 1 || chunks <= 1 then worker ()
   else begin
     let spawned =
       List.init
-        (min domains tasks - 1)
+        (min domains chunks - 1)
         (fun _ ->
           Domain.spawn (fun () ->
               Obs.Trace.with_span "parallel.worker" worker))
@@ -115,17 +71,15 @@ let map_chunks ?domains ~chunks f ~rng =
    computation combined in chunk order yields the same bits whether the
    chunks run inline or across domains.  Two grains:
 
-   - the map grain for write-disjoint element maps, where any split is
-     bit-identical anyway, so we can afford fine chunks — and afford to
-     let a tuning profile move it (globally via {!set_map_grain}, or
-     per call site via [iter_range ~grain]);
+   - [iter_grain] for write-disjoint element maps, where any split is
+     bit-identical anyway, so we can afford fine chunks;
    - [sum_grain] for reductions, where the split changes the
      floating-point association; it is kept large enough that every
      register the stock experiments sweep (well under 2^14 amplitudes)
      reduces in a single chunk, i.e. in plain left-to-right order.
-     [sum_grain] is a fixed constant on purpose: no profile, env
-     variable, or API touches it, so reduced floats stay a pure
-     function of the range length forever. *)
+   Both are constants: registers stay small (O(log n) qubits), so no
+   per-machine setting has anything to win. *)
+let iter_grain = 2048
 let sum_grain = 16384
 let max_chunks = 64
 
@@ -176,17 +130,13 @@ let dispatch_chunks ~domains ~chunks run =
     List.iter Domain.join spawned
   end
 
-let iter_range ?domains ?grain n f =
+let iter_range ?domains n f =
   if n < 0 then invalid_arg "Parallel.iter_range: negative length";
-  (match grain with
-  | Some g when g < 1 -> invalid_arg "Parallel.iter_range: grain < 1"
-  | _ -> ());
   if n > 0 then begin
     let domains =
       match domains with Some d -> max 1 d | None -> recommended_domains ()
     in
-    let grain = match grain with Some g -> g | None -> !map_grain_ref in
-    let chunks = chunk_count ~grain n in
+    let chunks = chunk_count ~grain:iter_grain n in
     dispatch_chunks ~domains ~chunks (fun i ->
         let lo, hi = chunk_bounds n chunks i in
         f lo hi)

@@ -13,9 +13,9 @@ set -eu
 
 # Single source of truth for the stage list: both the usage string and
 # the dispatch whitelist derive from it, so adding a stage in one place
-# cannot silently drift from the other (the tune stage smoke-tests
+# cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace compiled shard serve serve-soak tune audit bench baseline"
+stages="build docs tests smoke trace compiled shard serve serve-soak audit bench baseline"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -39,6 +39,20 @@ trap 'rm -rf "$tmp"' EXIT
 if want build; then
   echo "== build =="
   dune build @all
+
+  # Stage-dispatch self-test: an unknown stage must fail fast with exit
+  # code 2 and the usage line, never fall through to the full gate, and
+  # the usage line must list exactly $stages.
+  set +e
+  bogus_out="$(sh scripts/ci.sh bogus-stage 2>&1)"
+  bogus_rc=$?
+  set -e
+  [ "$bogus_rc" -eq 2 ]
+  echo "$bogus_out" | grep -qx "usage: scripts/ci.sh \[$(echo "$stages" | tr ' ' '|')\]"
+  if echo "$bogus_out" | grep -q 'tune'; then
+    echo "ci.sh usage still lists the removed tune stage" >&2
+    exit 1
+  fi
 fi
 
 if want docs; then
@@ -76,6 +90,18 @@ if want smoke; then
   OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
     --json "$tmp/exp_par.json"
   cmp "$tmp/exp.json" "$tmp/exp_par.json"
+
+  # ...and the chunked kernels spread over two domains: on a 2-core
+  # runner the default domain count is 1, so only this leg runs chunks
+  # concurrently. Both gated documents must keep their bytes.
+  OQSC_PAR_THRESHOLD=0 OQSC_PAR_DOMAINS=2 dune exec bin/oqsc_cli.exe -- \
+    run-all --quick --quiet --json "$tmp/exp_par2.json"
+  cmp "$tmp/exp.json" "$tmp/exp_par2.json"
+  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
+    --json "$tmp/audit_default.json"
+  OQSC_PAR_THRESHOLD=0 OQSC_PAR_DOMAINS=2 dune exec bin/oqsc_cli.exe -- \
+    space-audit --quick --quiet --json "$tmp/audit_par2.json"
+  cmp "$tmp/audit_default.json" "$tmp/audit_par2.json"
 fi
 
 if want trace; then
@@ -381,76 +407,6 @@ if want serve-soak; then
   fi
   awk -v f="$fresh" -v b="$base" \
     'BEGIN { exit !(f + 0 > 0 && b + 0 > 0 && f + 0 <= 25 * b) }'
-fi
-
-if want tune; then
-  echo "== tune profile pipeline =="
-  # Stage-dispatch self-test: an unknown stage must fail fast with exit
-  # code 2 and the usage line, never fall through to the full gate.
-  set +e
-  bogus_out="$(sh scripts/ci.sh bogus-stage 2>&1)"
-  bogus_rc=$?
-  set -e
-  [ "$bogus_rc" -eq 2 ]
-  echo "$bogus_out" | grep -q '^usage: scripts/ci.sh'
-
-  # A fresh quick sweep must emit a profile that parses and is
-  # self-consistent against its own telemetry — and so must the
-  # committed dated profile.
-  dune exec bin/oqsc_cli.exe -- tune --quick --quiet --json "$tmp/tune.json"
-  dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune.json"
-  dune exec bin/oqsc_cli.exe -- tune-lint TUNE_2026-08-08.json
-
-  # The profile contract (docs/SCHEMA.md): profiles move scheduling
-  # only, so ANY valid profile must leave gated bytes untouched.
-  # Compare run-all and space-audit documents against defaults under
-  # (a) the fresh sweep's profile via --tune-profile, (b) the committed
-  # profile via the OQSC_TUNE_PROFILE environment route, and (c) a
-  # handwritten extreme profile (threshold 1, grain 1, domain cap 2)
-  # that drags every kernel onto the chunked path.
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --json "$tmp/tune_ra_default.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --json "$tmp/tune_sa_default.json"
-
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --tune-profile "$tmp/tune.json" --json "$tmp/tune_ra_fresh.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_fresh.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --tune-profile "$tmp/tune.json" --json "$tmp/tune_sa_fresh.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_fresh.json"
-
-  OQSC_TUNE_PROFILE=TUNE_2026-08-08.json dune exec bin/oqsc_cli.exe -- \
-    run-all --quick --quiet --json "$tmp/tune_ra_env.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_env.json"
-  OQSC_TUNE_PROFILE=TUNE_2026-08-08.json dune exec bin/oqsc_cli.exe -- \
-    space-audit --quick --quiet --json "$tmp/tune_sa_env.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_env.json"
-
-  cat > "$tmp/tune_extreme.json" <<'EOF'
-{"domains": 2, "kernels": [
-  {"grain": 1, "name": "diagonal", "threshold": 1},
-  {"grain": 1, "name": "general", "threshold": 1},
-  {"grain": 1, "name": "map_chunks", "threshold": 1},
-  {"grain": 1, "name": "real", "threshold": 1},
-  {"grain": 1, "name": "tlayer", "threshold": 1}],
- "kind": "oqsc-tune", "version": 1}
-EOF
-  dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune_extreme.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --tune-profile "$tmp/tune_extreme.json" --json "$tmp/tune_ra_extreme.json"
-  cmp "$tmp/tune_ra_default.json" "$tmp/tune_ra_extreme.json"
-  dune exec bin/oqsc_cli.exe -- space-audit --quick --quiet \
-    --tune-profile "$tmp/tune_extreme.json" --json "$tmp/tune_sa_extreme.json"
-  cmp "$tmp/tune_sa_default.json" "$tmp/tune_sa_extreme.json"
-
-  # Rejection discipline: a profile with an unknown key must fail both
-  # the linter and any command asked to load it, before anything runs.
-  sed 's/"kind"/"surprise": 1, "kind"/' "$tmp/tune_extreme.json" \
-    > "$tmp/tune_bad.json"
-  ! dune exec bin/oqsc_cli.exe -- tune-lint "$tmp/tune_bad.json" 2>/dev/null
-  ! dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-      --tune-profile "$tmp/tune_bad.json" 2>/dev/null
 fi
 
 if want audit; then

@@ -27,7 +27,6 @@ let () =
       ("runner", Test_runner.suite);
       ("merge", Test_merge.suite);
       ("integration", Test_integration.suite);
-      ("tune", Test_tune.suite);
       ("vm", Test_vm.suite);
       ("serve", Test_serve.suite);
       ("edges", Test_edges.suite);

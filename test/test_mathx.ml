@@ -301,9 +301,47 @@ let test_cplx_algebra () =
 
 (* ---------------------------------------------------------- properties *)
 
+(* Slow reference for [mulmod]: a two-limb (31-bit) schoolbook product.
+   Every partial product stays below 2^62, is reduced with the native
+   [mod], shifted into place by repeated [addmod] doubling, and summed
+   with [addmod] — no step shares [mulmod]'s double-and-add loop. *)
+let mulmod_reference a b m =
+  let lo x = x land ((1 lsl 31) - 1) and hi x = x lsr 31 in
+  let rec shift x k = if k = 0 then x else shift (Modarith.addmod x x m) (k - 1) in
+  let part x k = shift (x mod m) k in
+  Modarith.addmod
+    (part (hi a * hi b) 62)
+    (Modarith.addmod
+       (part ((hi a * lo b) + (lo a * hi b)) 31)
+       (part (lo a * lo b) 0)
+       m)
+    m
+
+(* Moduli up to 2^61 - 1 with a uniform bit length, so the native path
+   (m <= 2^31) and the double-and-add path run about equally often at
+   every scale, plus the boundary moduli; operands uniform in [0, m)
+   with the extremes 0 and m - 1 mixed in. *)
+let mulmod_case =
+  let open QCheck.Gen in
+  let max_m = (1 lsl 61) - 1 in
+  frequency
+    [
+      ( 4,
+        int_range 1 61 >>= fun bits ->
+        int_range (1 lsl (bits - 1)) ((1 lsl bits) - 1) );
+      (1, oneofl [ 1 lsl 31; (1 lsl 31) + 1; max_m ]);
+    ]
+  >>= fun m ->
+  let operand = frequency [ (4, int_bound (m - 1)); (1, oneofl [ 0; m - 1 ]) ] in
+  map2 (fun a b -> (a, b, m)) operand operand
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"mulmod = two-limb schoolbook reference on [0, m)"
+      ~count:2000
+      (make ~print:Print.(triple int int int) mulmod_case)
+      (fun (a, b, m) -> Modarith.mulmod a b m = mulmod_reference a b m);
     Test.make ~name:"mulmod distributes over addmod" ~count:300
       (triple (int_bound 1_000_000) (int_bound 1_000_000) (int_range 2 1_000_000))
       (fun (a, b, m) ->

@@ -45,6 +45,65 @@ let prop_count_successes_matches_fold =
       in
       parallel = sequential)
 
+(* Range lengths around the chunking boundaries: the 2048-element map
+   grain, the 16384-element [sum_grain] (the largest single-chunk
+   reduction), and past the 64-chunk cap of each (2048 * 64 and
+   16384 * 64). *)
+let range_length =
+  QCheck.(
+    make ~print:Print.int
+      Gen.(
+        frequency
+          [
+            ( 3,
+              oneofl
+                [ 0; 1; 2047; 2048; 2049; 16383; 16384; 16385; 131072;
+                  131073; 1_048_576; 1_048_577; 1_100_000 ] );
+            (1, int_range 0 200_000);
+          ]))
+
+let at_domains run = List.map run [ 1; 2; 4 ]
+let all_equal = function [] -> true | x :: rest -> List.for_all (( = ) x) rest
+
+let prop_iter_range_domain_invariant =
+  QCheck.Test.make
+    ~name:"iter_range: same chunks, each index once, at domains 1/2/4"
+    ~count:30 range_length
+    (fun n ->
+      let run domains =
+        (* Which chunk (by its [lo]) covered each index, and how often. *)
+        let owner = Array.make n (-1) and visits = Array.make n 0 in
+        Parallel.iter_range ~domains n (fun lo hi ->
+            for i = lo to hi - 1 do
+              owner.(i) <- lo;
+              visits.(i) <- visits.(i) + 1
+            done);
+        (owner, visits)
+      in
+      let runs = at_domains run in
+      all_equal runs
+      && Array.for_all (( = ) 1) (snd (List.hd runs)))
+
+let prop_sum_range_domain_invariant =
+  QCheck.Test.make ~name:"sum_range: bit-identical at domains 1/2/4"
+    ~count:30 range_length
+    (fun n ->
+      (* Terms of mixed magnitude, so any re-association moves bits. *)
+      let f lo hi =
+        let acc = ref 0.0 in
+        for i = lo to hi - 1 do
+          acc := !acc +. (sin (float_of_int i) *. Float.ldexp 1.0 (i mod 40))
+        done;
+        !acc
+      in
+      let runs =
+        at_domains (fun domains ->
+            Int64.bits_of_float (Parallel.sum_range ~domains n f))
+      in
+      (* ...and up to 16384 elements the reduction is exactly [f 0 n]. *)
+      all_equal runs
+      && (n > 16384 || List.hd runs = Int64.bits_of_float (f 0 n)))
+
 let check_int = Alcotest.(check int)
 
 let test_zero_chunks () =
@@ -78,6 +137,14 @@ let test_negative_trials () =
         (Parallel.count_successes ~trials:(-2) (fun _ -> true)
            ~rng:(Rng.create 1)))
 
+let test_negative_range () =
+  Alcotest.check_raises "iter_range: negative length rejected"
+    (Invalid_argument "Parallel.iter_range: negative length") (fun () ->
+      Parallel.iter_range (-1) (fun _ _ -> ()));
+  Alcotest.check_raises "sum_range: negative length rejected"
+    (Invalid_argument "Parallel.sum_range: negative length") (fun () ->
+      ignore (Parallel.sum_range (-1) (fun _ _ -> 0.0)))
+
 let test_zero_trials () =
   check_int "trials:0 counts 0" 0
     (Parallel.count_successes ~trials:0 (fun _ -> true) ~rng:(Rng.create 1))
@@ -87,9 +154,12 @@ let suite =
     qtest prop_domain_count_invariant;
     qtest prop_chunk_order;
     qtest prop_count_successes_matches_fold;
+    qtest prop_iter_range_domain_invariant;
+    qtest prop_sum_range_domain_invariant;
     ("chunks:0", `Quick, test_zero_chunks);
     ("domains:0", `Quick, test_zero_domains);
     ("negative chunks", `Quick, test_negative_chunks);
     ("negative trials", `Quick, test_negative_trials);
+    ("negative range", `Quick, test_negative_range);
     ("trials:0", `Quick, test_zero_trials);
   ]
