@@ -14,10 +14,21 @@ let submod a b m =
   let d = a - b in
   if d < 0 then d + m else d
 
-(* Double-and-add: every intermediate stays below 2*m < 2^63. *)
+(* Three regimes by modulus size:
+   - m <= 2^31: the native product a * b < 2^62 fits an int.
+   - m < 2^50: a float quotient.  a, b and m are exact doubles and
+     ab/m < 2^50, so two roundings leave q within 1 of floor(ab/m); the
+     true remainder ab - qm then lies in [-m, 2m), well inside 63 bits,
+     so the wrapping int product recovers it exactly.
+   - otherwise double-and-add: every intermediate stays below 2*m < 2^63. *)
 let mulmod a b m =
   check_modulus m;
   if m <= 1 lsl 31 then a * b mod m
+  else if m < 1 lsl 50 then begin
+    let q = int_of_float (float_of_int a *. float_of_int b /. float_of_int m) in
+    let r = (a * b) - (q * m) in
+    if r < 0 then r + m else if r >= m then r - m else r
+  end
   else begin
     let acc = ref 0 and a = ref a and b = ref b in
     while !b > 0 do

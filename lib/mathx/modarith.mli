@@ -14,10 +14,19 @@ val submod : int -> int -> int -> int
 
 val mulmod : int -> int -> int -> int
 (** [mulmod a b m] is [(a * b) mod m] for operands [0 <= a, b < m],
-    computed without overflow for any modulus below [2^61] (binary
-    double-and-add above [2^31]).  Operands are not reduced: outside
-    [0, m) the result is unspecified (for [m > 2^31], [mulmod (3m+5) 1 m]
-    is not [5]). *)
+    computed without overflow for any modulus below [2^61].  The cost
+    depends on the size of [m]:
+    - [m <= 2^31]: the native product [a * b mod m], one multiply and
+      one division.
+    - [2^31 < m < 2^50]: a float quotient [q] within 1 of
+      [floor(ab/m)], then [ab - qm] in wrapping integer arithmetic and one
+      correction by [m]; constant cost, no loop.  This covers the
+      fingerprint primes of A2 for [k = 8..12].
+    - [m >= 2^50]: binary double-and-add, one loop step per bit of [b]
+      (up to 61 steps).
+
+    Operands are not reduced: outside [0, m) the result is unspecified
+    (for [m > 2^31], [mulmod (3m+5) 1 m] is not [5]). *)
 
 val powmod : int -> int -> int -> int
 (** [powmod a e m] is [a^e mod m] for [a >= 0] and [e >= 0]

@@ -3,7 +3,8 @@
 let witnesses = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37 ]
 
 let is_prime n =
-  if n < 2 then false
+  if n >= 1 lsl 61 then invalid_arg "Primes.is_prime: need n < 2^61"
+  else if n < 2 then false
   else if n < 4 then true
   else if n land 1 = 0 then false
   else begin

@@ -1,10 +1,12 @@
 (** Primality testing and prime search.
 
-    Deterministic Miller–Rabin, valid for every modulus representable as a
-    non-negative OCaml [int] (63 bits), using the standard 12-witness set. *)
+    Deterministic Miller–Rabin with the standard 12-witness set, over the
+    domain [0 <= n < 2^61] that {!Modarith} accepts as a modulus. *)
 
 val is_prime : int -> bool
-(** [is_prime n] decides primality of [n >= 0] deterministically. *)
+(** [is_prime n] decides primality of [0 <= n < 2^61] deterministically
+    (negative [n] is not prime).
+    @raise Invalid_argument if [n >= 2^61]. *)
 
 val next_prime : int -> int
 (** [next_prime n] is the smallest prime [>= n].

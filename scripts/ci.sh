@@ -15,7 +15,7 @@ set -eu
 # the dispatch whitelist derive from it, so adding a stage in one place
 # cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace compiled shard serve serve-soak audit bench baseline"
+stages="build docs tests smoke trace compiled shard serve serve-soak audit full bench baseline"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -430,6 +430,20 @@ if want audit; then
        END { if (have) print prev }' \
     "$tmp/audit_timed.json" > "$tmp/audit_stripped.json"
   cmp "$tmp/audit.json" "$tmp/audit_stripped.json"
+fi
+
+if want full; then
+  echo "== full-scale sweep gate =="
+  # The paper's headline sweep without --quick: the k = 6..8 rows that
+  # decide the n^(1/3) and log n fits, and A2's fingerprint primes above
+  # 2^31. Both documents are gated exactly against the committed dated
+  # baselines; space-audit also exits non-zero outside its exponent
+  # bands. Re-record both (same commands, --json) and commit new dated
+  # files after an intentional change to the full-scale results.
+  dune exec bin/oqsc_cli.exe -- run-all --quiet \
+    --check BENCH_FULL_RUNALL_2026-10-17.json --tolerance 0
+  dune exec bin/oqsc_cli.exe -- space-audit --quiet --json "$tmp/audit_full.json"
+  cmp BENCH_FULL_AUDIT_2026-10-17.json "$tmp/audit_full.json"
 fi
 
 if want bench; then

@@ -77,11 +77,20 @@ let test_small_primes () =
   List.iter (fun c -> check (string_of_int c) false (Primes.is_prime c)) composites
 
 let test_large_prime_detection () =
-  (* Mersenne prime 2^61 - 1 exceeds our modulus cap slightly, so use
-     2^31 - 1 (prime) and 2^32 + 1 = 641 * 6700417 (composite). *)
+  (* 2^31 - 1 is prime and 2^32 + 1 = 641 * 6700417 is composite; the
+     Mersenne prime 2^61 - 1 is the largest input in the domain. *)
   check "2^31-1 prime" true (Primes.is_prime ((1 lsl 31) - 1));
   check "2^32+1 composite" false (Primes.is_prime ((1 lsl 32) + 1));
-  check "big semiprime" false (Primes.is_prime (1_000_003 * 1_000_033))
+  check "big semiprime" false (Primes.is_prime (1_000_003 * 1_000_033));
+  check "2^61-1 prime" true (Primes.is_prime ((1 lsl 61) - 1))
+
+let test_prime_domain_guard () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (string_of_int n)
+        (Invalid_argument "Primes.is_prime: need n < 2^61") (fun () ->
+          ignore (Primes.is_prime n)))
+    [ 1 lsl 61; (1 lsl 61) + 1; max_int ]
 
 let test_next_prime () =
   check_int "next_prime 14" 17 (Primes.next_prime 14);
@@ -318,22 +327,44 @@ let mulmod_reference a b m =
     m
 
 (* Moduli up to 2^61 - 1 with a uniform bit length, so the native path
-   (m <= 2^31) and the double-and-add path run about equally often at
-   every scale, plus the boundary moduli; operands uniform in [0, m)
-   with the extremes 0 and m - 1 mixed in. *)
+   (m <= 2^31), the float-quotient path (m < 2^50) and the double-and-add
+   path all run at every scale, plus the boundary moduli of each path
+   and every fingerprint prime A2 can use; operands uniform in [0, m)
+   with the extremes 0 and m - 1 mixed in.  Fixed witness triples cover
+   what uniform operands reach less than once in 10^4 draws: a float
+   quotient one below floor(ab/m), so only the [r >= m] correction
+   repairs it, and 53-bit moduli whose float quotient misses by 2,
+   which is why the float path stops short of 2^53. *)
 let mulmod_case =
   let open QCheck.Gen in
   let max_m = (1 lsl 61) - 1 in
-  frequency
+  let boundaries =
+    [ 1 lsl 31; (1 lsl 31) + 1; (1 lsl 50) - 1; 1 lsl 50; (1 lsl 50) + 1; max_m ]
+    @ List.init 15 (fun i -> Primes.fingerprint_prime (i + 1))
+  in
+  let witnesses =
     [
-      ( 4,
-        int_range 1 61 >>= fun bits ->
-        int_range (1 lsl (bits - 1)) ((1 lsl bits) - 1) );
-      (1, oneofl [ 1 lsl 31; (1 lsl 31) + 1; max_m ]);
+      (1394162301776, 1227258576154, 1577576723733);
+      (7866352201122, 22001094274886, 26010603501960);
+      (109631988378819, 790886246559936, 794316893094910);
+      (628536067364856, 666482727744148, 750663698916923);
+      (7224392123019757, 6976023012095288, 7326026973394356);
+      (7420747687696925, 7380304012428244, 8563310251182479);
     ]
-  >>= fun m ->
-  let operand = frequency [ (4, int_bound (m - 1)); (1, oneofl [ 0; m - 1 ]) ] in
-  map2 (fun a b -> (a, b, m)) operand operand
+  in
+  let random_case =
+    frequency
+      [
+        ( 4,
+          int_range 1 61 >>= fun bits ->
+          int_range (1 lsl (bits - 1)) ((1 lsl bits) - 1) );
+        (1, oneofl boundaries);
+      ]
+    >>= fun m ->
+    let operand = frequency [ (4, int_bound (m - 1)); (1, oneofl [ 0; m - 1 ]) ] in
+    map2 (fun a b -> (a, b, m)) operand operand
+  in
+  frequency [ (9, random_case); (1, oneofl witnesses) ]
 
 let qcheck_tests =
   let open QCheck in
@@ -397,6 +428,7 @@ let suite =
     ("modarith modulus guard", `Quick, test_modulus_guard);
     ("primes small", `Quick, test_small_primes);
     ("primes large", `Quick, test_large_prime_detection);
+    ("primes domain guard", `Quick, test_prime_domain_guard);
     ("primes next", `Quick, test_next_prime);
     ("primes fingerprint range", `Quick, test_fingerprint_prime_range);
     ("bitvec roundtrip", `Quick, test_bitvec_roundtrip);
