@@ -332,10 +332,6 @@ let contains_substring haystack needle =
   nn = 0 || at 0
 
 let () =
-  (* The harness takes no engine flag; OQSC_COMPILED=1 routes every
-     circuit in the kernels and tables through the lib/vm bytecode
-     interpreter (results are bit-identical; only timings move). *)
-  Vm.Engine.init_from_env ();
   let opts = parse_args () in
   let tests =
     match opts.only with

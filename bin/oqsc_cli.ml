@@ -192,16 +192,8 @@ let run_all_cmd =
           ~doc:
             "Run only shard I of N (0-based): the selected experiments are dealt round-robin by catalogue position, so the N shards partition the run and each shard's output is byte-stable. The JSON document carries a shard provenance field; recombine a complete shard set with 'oqsc merge'.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "Execute circuits through the lib/vm bytecode engine instead of the gate-IR walker (also enabled by OQSC_COMPILED=1). Compiled programs are memoised per (experiment, seed, variant); results are bit-identical to the walker, so the --json document does not change — CI holds the two paths byte-equal.")
-  in
   let action quick seed only sequential domains json_file timing check tolerance quiet
-      trace_file shard compiled =
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+      trace_file shard =
     let only =
       Option.map
         (fun s ->
@@ -334,7 +326,7 @@ let run_all_cmd =
     Term.(
       ret
         (const action $ quick $ seed $ only $ sequential $ domains $ json_file
-       $ timing $ check $ tolerance $ quiet $ trace_file $ shard $ compiled))
+       $ timing $ check $ tolerance $ quiet $ trace_file $ shard))
 
 (* ---------------------------------------------------------- space-audit *)
 
@@ -659,19 +651,28 @@ let vm_cmd =
     | `Run ->
         with_program (fun c ->
             let w = read_input input in
-            let r = Vm.Mcode.run c w in
-            Printf.printf "verdict: %s\n"
-              (match r.Machine.Program.verdict with
-              | Some true -> "accept"
-              | Some false -> "reject"
-              | None -> "none (step cap)");
-            if r.Machine.Program.output <> "" then
-              Printf.printf "output: %s\n" r.Machine.Program.output;
-            Printf.printf "registers: [%s]\n"
-              (String.concat "; "
-                 (Array.to_list
-                    (Array.map string_of_int r.Machine.Program.final_registers)));
-            `Ok ())
+            let outside i = not (String.contains "01#" w.[i]) in
+            match Seq.find outside (Seq.init (String.length w) Fun.id) with
+            | Some i ->
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "vm: input symbol %C at position %d is outside the alphabet {0, 1, #}"
+                      w.[i] i )
+            | None ->
+                let r = Vm.Mcode.run c w in
+                Printf.printf "verdict: %s\n"
+                  (match r.Machine.Program.verdict with
+                  | Some true -> "accept"
+                  | Some false -> "reject"
+                  | None -> "none (step cap)");
+                if r.Machine.Program.output <> "" then
+                  Printf.printf "output: %s\n" r.Machine.Program.output;
+                Printf.printf "registers: [%s]\n"
+                  (String.concat "; "
+                     (Array.to_list
+                        (Array.map string_of_int r.Machine.Program.final_registers)));
+                `Ok ())
   in
   Cmd.v
     (Cmd.info "vm"
@@ -718,13 +719,6 @@ let serve_cmd =
           ~doc:
             "Socket transport: serve up to N concurrent connections (one thread per client); further connections wait in the listen backlog until a slot frees.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "Dispatch machine-backed experiments through the bytecode-compiled engine; the process-wide compiled cache then stays warm across requests.")
-  in
   let trace_file =
     Arg.(
       value
@@ -749,9 +743,8 @@ let serve_cmd =
           ~doc:
             "Periodically (and at exit) write the metrics registry in Prometheus text exposition format to FILE, atomically via rename. The same snapshot a v2 metrics request serves as JSON.")
   in
-  let action socket queue batch domains max_clients compiled trace_file
-      log_file metrics_file =
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+  let action socket queue batch domains max_clients trace_file log_file
+      metrics_file =
     if queue < 1 then `Error (false, "serve: --queue must be >= 1")
     else if batch < 1 then `Error (false, "serve: --batch must be >= 1")
     else if max_clients < 1 then
@@ -849,7 +842,7 @@ let serve_cmd =
     Term.(
       ret
         (const action $ socket $ queue $ batch $ domains $ max_clients
-       $ compiled $ trace_file $ log_file $ metrics_file))
+       $ trace_file $ log_file $ metrics_file))
 
 (* ---------------------------------------------------------- bench-serve *)
 
@@ -921,15 +914,8 @@ let bench_serve_cmd =
           ~doc:
             "Write every completed run/sweep payload as canonical pretty JSON to DIR/<request-id>.json — what CI compares byte-for-byte against one-shot CLI output.")
   in
-  let compiled =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:"In-process mode: dispatch through the bytecode-compiled engine.")
-  in
   let action mix socket shutdown clients json_file repeat queue batch domains
-      payload_dir compiled =
-    if compiled then Vm.Engine.enable () else Vm.Engine.init_from_env ();
+      payload_dir =
     match Serve.Bench_serve.load_mix mix with
     | Error msg -> `Error (false, "bench-serve: " ^ msg)
     | Ok lines -> (
@@ -976,7 +962,7 @@ let bench_serve_cmd =
     Term.(
       ret
         (const action $ mix $ socket $ shutdown $ clients $ json_file $ repeat
-       $ queue $ batch $ domains $ payload_dir $ compiled))
+       $ queue $ batch $ domains $ payload_dir))
 
 (* ------------------------------------------------------------------ ids *)
 

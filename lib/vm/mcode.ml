@@ -48,6 +48,9 @@ let final_target (i : Program.instr) =
 
 let compile (p : Program.t) =
   Program.validate p;
+  if p.registers > 0xFF then
+    Fmt.failwith "Vm.Mcode.compile: program %s has %d registers, u8 allows 255"
+      p.name p.registers;
   let n = Array.length p.code in
   let falls pc = final_target p.code.(pc) = Some (pc + 1) in
   (* Explicit-continuation bytes: 0 for halts (no continuation at all)

@@ -22,8 +22,9 @@ type t
 
 val compile : Machine.Program.t -> t
 (** Validate, lay out, and encode.  @raise Failure like
-    [Machine.Program.validate] on an ill-formed program (and if the
-    encoded program would overflow u16 jump targets). *)
+    [Machine.Program.validate] on an ill-formed program, if the program
+    has more than 255 registers (operands are u8), or if the encoded
+    program would overflow u16 jump targets. *)
 
 val run : ?max_steps:int -> t -> string -> Machine.Program.run_result
 (** Execute on an input over [{0,1,#}].  [max_steps] defaults to 10^6

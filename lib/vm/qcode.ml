@@ -106,46 +106,6 @@ let run t s =
              (!pos - Opcode.header_size)))
   done
 
-(* --------------------------------------------------------------- store *)
-
-let store : (string, t) Hashtbl.t = Hashtbl.create 64
-let store_lock = Mutex.create ()
-
-let store_locked f =
-  Mutex.lock store_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock store_lock) f
-
-let clear_store () = store_locked (fun () -> Hashtbl.reset store)
-
-let compile_traced circ =
-  Obs.Trace.with_span
-    ~args:[ ("gates", Obs.Trace.Int (Circ.length circ)) ]
-    "vm.compile"
-    (fun () -> compile circ)
-
-let run_cached circ s =
-  let prog =
-    match Cache.tag_for circ with
-    | None ->
-        Cache.note `Bypass;
-        compile_traced circ
-    | Some key -> (
-        match store_locked (fun () -> Hashtbl.find_opt store key) with
-        | Some p when p.nqubits = Circ.nqubits circ && p.gates = Circ.length circ ->
-            Cache.note `Hit;
-            p
-        | found ->
-            Cache.note (if found = None then `Miss else `Invalidate);
-            let p = compile_traced circ in
-            store_locked (fun () -> Hashtbl.replace store key p);
-            p)
-  in
-  Obs.Trace.with_span
-    ~args:
-      [ ("gates", Obs.Trace.Int prog.gates); ("bytes", Obs.Trace.Int (size prog)) ]
-    "vm.exec"
-    (fun () -> run prog s)
-
 (* -------------------------------------------------------------- disasm *)
 
 let disasm t =

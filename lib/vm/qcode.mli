@@ -9,14 +9,7 @@
     equivalent arguments, as the [Circ.run] IR walker — so the two paths
     produce {e bit-identical} amplitudes, which the differential qcheck
     battery in [test/test_vm.ml] enforces on both the sequential and the
-    chunked-parallel scheduling paths.
-
-    {!run_cached} is the engine entry point installed behind
-    [run-all --compiled]: it memoises compiled programs in the
-    process-wide store under {!Cache} context keys, counts hits and
-    misses on the cache's private sink, and brackets compilation and
-    execution with [vm.compile] / [vm.exec] {!Obs.Trace} spans (trace
-    layer only — the gated JSON stays byte-identical to the walker). *)
+    chunked-parallel scheduling paths. *)
 
 type t
 
@@ -28,13 +21,6 @@ val run : t -> Quantum.State.t -> unit
 (** Execute on a register in place.
     @raise Invalid_argument on a register-size mismatch, like
     [Circ.run]. *)
-
-val run_cached : Circuit.Circ.t -> Quantum.State.t -> unit
-(** Compile-or-reuse, then execute.  Keyed through {!Cache.tag_for};
-    without an installed context the store is bypassed (compile fresh,
-    count [vm.cache.bypass]).  A keyed entry is invalidated and
-    recompiled if the circuit's shape (qubits, gate count) changed since
-    it was stored. *)
 
 val nqubits : t -> int
 
@@ -50,6 +36,3 @@ val to_bytes : t -> bytes
 val disasm : t -> string
 (** Stable textual listing (golden-tested): a two-line [;] header, then
     one line per instruction with its code-relative byte offset. *)
-
-val clear_store : unit -> unit
-(** Drop every memoised circuit program (tests; {!Engine.reset}). *)

@@ -15,7 +15,7 @@ set -eu
 # the dispatch whitelist derive from it, so adding a stage in one place
 # cannot silently drift from the other (the build stage smoke-tests
 # this by running an unknown stage name).
-stages="build docs tests smoke trace compiled shard serve serve-soak audit full bench baseline"
+stages="build docs tests smoke trace shard serve serve-soak audit full bench baseline"
 
 usage() { echo "usage: scripts/ci.sh [$(echo "$stages" | tr ' ' '|')]"; }
 
@@ -49,10 +49,12 @@ if want build; then
   set -e
   [ "$bogus_rc" -eq 2 ]
   echo "$bogus_out" | grep -qx "usage: scripts/ci.sh \[$(echo "$stages" | tr ' ' '|')\]"
-  if echo "$bogus_out" | grep -q 'tune'; then
-    echo "ci.sh usage still lists the removed tune stage" >&2
-    exit 1
-  fi
+  for removed in tune compiled; do
+    if echo "$bogus_out" | grep -q "$removed"; then
+      echo "ci.sh usage still lists the removed $removed stage" >&2
+      exit 1
+    fi
+  done
 fi
 
 if want docs; then
@@ -102,6 +104,18 @@ if want smoke; then
   OQSC_PAR_THRESHOLD=0 OQSC_PAR_DOMAINS=2 dune exec bin/oqsc_cli.exe -- \
     space-audit --quick --quiet --json "$tmp/audit_par2.json"
   cmp "$tmp/audit_default.json" "$tmp/audit_par2.json"
+
+  # The bytecode machine gallery must list, disassemble, and run, and a
+  # symbol outside {0, 1, #} must be a clean usage error (exit 124), not
+  # an uncaught exception.
+  dune exec bin/oqsc_cli.exe -- vm list >/dev/null
+  dune exec bin/oqsc_cli.exe -- vm disasm ldisj-shape >/dev/null
+  printf 1101 | dune exec bin/oqsc_cli.exe -- vm run parity | grep -q reject
+  set +e
+  printf 12 | dune exec bin/oqsc_cli.exe -- vm run parity >/dev/null 2>&1
+  vm_bad_rc=$?
+  set -e
+  [ "$vm_bad_rc" -eq 124 ]
 fi
 
 if want trace; then
@@ -127,40 +141,6 @@ if want trace; then
     --only e3 --trace "$tmp/e3_trace_par.json" --json "$tmp/e3_traced_par.json"
   cmp "$tmp/e3.json" "$tmp/e3_traced_par.json"
   dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/e3_trace_par.json"
-fi
-
-if want compiled; then
-  echo "== compiled engine smoke =="
-  # The bytecode engine must be invisible in results: a --compiled run's
-  # gated JSON must be byte-identical to the IR walker's, on the default
-  # and the forced-chunked scheduling paths, and through the OQSC_COMPILED
-  # env switch (the route harnesses without flags use). A traced compiled
-  # run must leave the JSON untouched and emit a timeline that survives
-  # the structural linter (it carries the vm.compile / vm.exec spans).
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --json "$tmp/walk.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --compiled \
-    --json "$tmp/comp.json"
-  cmp "$tmp/walk.json" "$tmp/comp.json"
-
-  OQSC_PAR_THRESHOLD=0 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --compiled --json "$tmp/comp_par.json"
-  cmp "$tmp/walk.json" "$tmp/comp_par.json"
-
-  OQSC_COMPILED=1 dune exec bin/oqsc_cli.exe -- run-all --quick --quiet \
-    --json "$tmp/comp_env.json"
-  cmp "$tmp/walk.json" "$tmp/comp_env.json"
-
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e11 \
-    --json "$tmp/walk_e11.json"
-  dune exec bin/oqsc_cli.exe -- run-all --quick --quiet --only e11 --compiled \
-    --trace "$tmp/comp_trace.json" --json "$tmp/comp_e11.json"
-  cmp "$tmp/walk_e11.json" "$tmp/comp_e11.json"
-  dune exec bin/oqsc_cli.exe -- trace-lint "$tmp/comp_trace.json"
-
-  # The bytecode machine gallery must list, disassemble, and run.
-  dune exec bin/oqsc_cli.exe -- vm list >/dev/null
-  dune exec bin/oqsc_cli.exe -- vm disasm ldisj-shape >/dev/null
-  printf 1101 | dune exec bin/oqsc_cli.exe -- vm run parity | grep -q reject
 fi
 
 if want shard; then
@@ -227,11 +207,10 @@ if want serve; then
 
   # Socket transport: a background server, the same mix over frames,
   # clean shutdown via a shutdown request, identical payload bytes. The
-  # compiled engine must be invisible in the served bytes too. The
   # server runs from the built binary directly so the backgrounded
   # process never contends for dune's build lock.
   dune build bin/oqsc_cli.exe
-  _build/default/bin/oqsc_cli.exe serve --socket "$tmp/serve.sock" --compiled &
+  _build/default/bin/oqsc_cli.exe serve --socket "$tmp/serve.sock" &
   serve_pid=$!
   for _ in $(seq 50); do [ -S "$tmp/serve.sock" ] && break; sleep 0.1; done
   [ -S "$tmp/serve.sock" ]

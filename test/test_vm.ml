@@ -1,7 +1,6 @@
 (* Tests for the lib/vm bytecode subsystem: encoders, the two
-   interpreters (circuit and register-machine), the disassemblers
-   against committed golden listings, the compiled-program cache, and
-   the engine hook behind run-all --compiled.
+   interpreters (circuit and register-machine), and the disassemblers
+   against committed golden listings.
 
    The load-bearing properties are differential: random circuits must
    execute *bit-identically* (exact float equality on every amplitude)
@@ -35,10 +34,8 @@ let states_identical s1 s2 =
   done;
   !ok
 
-(* Walker vs bytecode from basis state |start>; the engine hook must be
-   uninstalled so Circ.run is the IR walker. *)
+(* Walker vs bytecode from basis state |start>. *)
 let paths_agree circ start =
-  Vm.Engine.disable ();
   let nq = Circ.nqubits circ in
   let walk = State.basis nq start in
   Circ.run circ walk;
@@ -134,6 +131,30 @@ let test_compile_validates () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* Register operands and the header's register count are u8: a program
+   past 255 registers must be refused, not truncated (r256 would alias
+   r0 and flip this verdict). *)
+let test_compile_rejects_wide_register_file () =
+  let p =
+    {
+      Program.name = "wide";
+      width = 1;
+      registers = 300;
+      code =
+        [|
+          Program.Set { reg = 256; value = 1; next = 1 };
+          Program.Jump_if_eq { reg_a = 0; reg_b = 256; if_eq = 2; if_ne = 3 };
+          Program.Accept;
+          Program.Reject;
+        |];
+    }
+  in
+  check "interpreter rejects" true ((Program.interpret p "").Program.verdict = Some false);
+  check "compile refuses" true
+    (match Vm.Mcode.compile p with
+    | exception Failure _ -> true
+    | _ -> false)
+
 let test_qcode_register_mismatch () =
   let prog = Vm.Qcode.compile (Circ.of_gates ~nqubits:2 bell) in
   Alcotest.check_raises "size mismatch"
@@ -210,171 +231,6 @@ let test_disasm_stable () =
   check_str "stable circuit"
     (Vm.Qcode.disasm (Vm.Qcode.compile c))
     (Vm.Qcode.disasm (Vm.Qcode.compile c))
-
-(* ------------------------------------------------------------- cache *)
-
-let test_cache_context () =
-  check "no ambient context" true (Vm.Cache.context () = None);
-  Vm.Cache.with_context ~experiment:"e3" ~k:4 ~seed:7 ~variant:"full"
-    (fun () ->
-      check "installed" true
-        (Vm.Cache.context () = Some ("e3", 4, 7, "full")));
-  check "restored" true (Vm.Cache.context () = None)
-
-let test_cache_tags () =
-  let c1 = Circ.of_gates ~nqubits:1 [ Gate.H 0 ] in
-  let c2 = Circ.of_gates ~nqubits:1 [ Gate.T 0 ] in
-  check "no context, no tag" true (Vm.Cache.tag_for c1 = None);
-  Vm.Cache.with_context ~experiment:"e9" ~seed:11 ~variant:"quick" (fun () ->
-      check "first sighting" true
-        (Vm.Cache.tag_for c1 = Some "e9/k0/s11/quick/src.1");
-      check "second object" true
-        (Vm.Cache.tag_for c2 = Some "e9/k0/s11/quick/src.2");
-      check "same object, same tag" true
-        (Vm.Cache.tag_for c1 = Some "e9/k0/s11/quick/src.1"));
-  (* A fresh context restarts the sequence: the tag depends only on the
-     deterministic first-sighting order, which is what makes reuse
-     across repeated invocations sound. *)
-  Vm.Cache.with_context ~experiment:"e9" ~seed:11 ~variant:"quick" (fun () ->
-      check "sequence restarts" true
-        (Vm.Cache.tag_for c2 = Some "e9/k0/s11/quick/src.1"))
-
-let test_cache_hit_miss_counters () =
-  Vm.Engine.reset ();
-  let c = Circ.of_gates ~nqubits:2 bell in
-  let exec () = Vm.Qcode.run_cached c (State.create 2) in
-  Vm.Cache.with_context ~experiment:"t" ~seed:1 ~variant:"quick" exec;
-  check_int "one miss" 1 (Vm.Cache.misses ());
-  check_int "no hit yet" 0 (Vm.Cache.hits ());
-  Vm.Cache.with_context ~experiment:"t" ~seed:1 ~variant:"quick" exec;
-  check_int "still one miss" 1 (Vm.Cache.misses ());
-  check_int "one hit" 1 (Vm.Cache.hits ());
-  (* Different seed, different key: a miss, not a collision. *)
-  Vm.Cache.with_context ~experiment:"t" ~seed:2 ~variant:"quick" exec;
-  check_int "second miss" 2 (Vm.Cache.misses ())
-
-let test_cache_bypass () =
-  Vm.Engine.reset ();
-  Vm.Qcode.run_cached (Circ.of_gates ~nqubits:1 [ Gate.H 0 ]) (State.create 1);
-  check_int "bypassed" 1
-    (List.assoc "vm.cache.bypass" (Vm.Cache.stats ()));
-  check_int "no miss" 0 (Vm.Cache.misses ())
-
-let test_cache_invalidate_on_shape_change () =
-  Vm.Engine.reset ();
-  let c2 = Circ.of_gates ~nqubits:2 bell in
-  let c3 = Circ.of_gates ~nqubits:3 [ Gate.H 2 ] in
-  (* Same key (first sighting in equal contexts), different shape: the
-     stale entry must be recompiled, not served. *)
-  Vm.Cache.with_context ~experiment:"t" ~seed:1 ~variant:"full" (fun () ->
-      Vm.Qcode.run_cached c2 (State.create 2));
-  Vm.Cache.with_context ~experiment:"t" ~seed:1 ~variant:"full" (fun () ->
-      Vm.Qcode.run_cached c3 (State.create 3));
-  check_int "invalidated" 1
-    (List.assoc "vm.cache.invalidate" (Vm.Cache.stats ()))
-
-let test_cache_hit_executes_identically () =
-  (* Regression: a cache hit must execute exactly like a fresh compile
-     (and like the walker). *)
-  Vm.Engine.reset ();
-  let circ =
-    Lower.to_basis
-      (Circ.of_gates ~nqubits:3
-         [ Gate.H 0; Gate.Ccx { c1 = 0; c2 = 1; target = 2 }; Gate.T 2 ])
-  in
-  let nq = Circ.nqubits circ in
-  let run_cached () =
-    let s = State.create nq in
-    Vm.Cache.with_context ~experiment:"reg" ~seed:3 ~variant:"quick" (fun () ->
-        Vm.Qcode.run_cached circ s);
-    s
-  in
-  let miss = run_cached () in
-  let hit = run_cached () in
-  check_int "second run hit" 1 (Vm.Cache.hits ());
-  let walk = State.create nq in
-  Vm.Engine.disable ();
-  Circ.run circ walk;
-  check "hit = miss" true (states_identical miss hit);
-  check "hit = walker" true (states_identical walk hit)
-
-(* ------------------------------------------------------------ engine *)
-
-let test_engine_toggle () =
-  Vm.Engine.disable ();
-  check "off" false (Vm.Engine.enabled ());
-  Vm.Engine.enable ();
-  check "on" true (Vm.Engine.enabled ());
-  Vm.Engine.enable ();
-  check "idempotent" true (Vm.Engine.enabled ());
-  Vm.Engine.disable ();
-  check "off again" false (Vm.Engine.enabled ())
-
-let test_engine_env () =
-  let set v = Unix.putenv "OQSC_COMPILED" v in
-  Fun.protect
-    ~finally:(fun () ->
-      set "";
-      Vm.Engine.disable ())
-    (fun () ->
-      set "";
-      check "empty off" false (Vm.Engine.env_requested ());
-      set "0";
-      check "0 off" false (Vm.Engine.env_requested ());
-      set "false";
-      check "false off" false (Vm.Engine.env_requested ());
-      set "1";
-      check "1 on" true (Vm.Engine.env_requested ());
-      set "yes";
-      check "yes on" true (Vm.Engine.env_requested ());
-      Vm.Engine.disable ();
-      set "0";
-      Vm.Engine.init_from_env ();
-      check "init honours off" false (Vm.Engine.enabled ());
-      set "1";
-      Vm.Engine.init_from_env ();
-      check "init honours on" true (Vm.Engine.enabled ()))
-
-let test_engine_routes_circ_run () =
-  Vm.Engine.reset ();
-  let circ = Circ.of_gates ~nqubits:2 bell in
-  let walk = State.create 2 in
-  Vm.Engine.disable ();
-  Circ.run circ walk;
-  let routed = State.create 2 in
-  Vm.Engine.enable ();
-  Fun.protect ~finally:Vm.Engine.disable (fun () -> Circ.run circ routed);
-  (* No context installed: the engine still runs (bypassing the store)
-     and must be bit-identical. *)
-  check "bypass counted" true
-    (List.assoc "vm.cache.bypass" (Vm.Cache.stats ()) >= 1);
-  check "routed = walker" true (states_identical walk routed)
-
-let test_registry_reuse_across_invocations () =
-  (* The satellite contract: repeated run-all --only style invocations
-     in one process reuse compiled programs (hits, no growth in misses)
-     and produce identical reports — with the engine result also equal
-     to the walker's. *)
-  let walker = Experiments.Registry.result ~quick:true ~seed:2006 "e11" in
-  Vm.Engine.reset ();
-  Vm.Engine.enable ();
-  Fun.protect ~finally:Vm.Engine.disable (fun () ->
-      let r1 = Experiments.Registry.result ~quick:true ~seed:2006 "e11" in
-      let misses_after_first = Vm.Cache.misses () in
-      let hits_after_first = Vm.Cache.hits () in
-      let r2 = Experiments.Registry.result ~quick:true ~seed:2006 "e11" in
-      check "compiled something" true (misses_after_first > 0);
-      check "second invocation only hits" true
-        (Vm.Cache.misses () = misses_after_first);
-      check "second invocation hit the store" true
-        (Vm.Cache.hits () > hits_after_first);
-      check "reports identical across invocations" true
-        (r1.Experiments.Report.body = r2.Experiments.Report.body
-        && r1.Experiments.Report.resources = r2.Experiments.Report.resources);
-      check "engine report = walker report" true
-        (walker.Experiments.Report.body = r1.Experiments.Report.body
-        && walker.Experiments.Report.resources
-           = r1.Experiments.Report.resources))
 
 (* ------------------------------------------------- differential qcheck *)
 
@@ -537,27 +393,6 @@ let qcheck_tests =
         Fun.protect
           ~finally:(fun () -> State.set_parallel_threshold saved)
           (fun () -> paths_agree (Circ.of_gates ~nqubits:nq gs) start));
-    (* Each generated circuit gets its own context key: the cache's
-       soundness precondition is one deterministic circuit stream per
-       (experiment, k, seed, variant), which unrelated random circuits
-       sharing a key would violate. *)
-    (let case = ref 0 in
-     Test.make ~name:"cached engine = walker on random circuits" ~count:60
-       (circuit_case ~max_qubits:5) (fun (nq, gs, start) ->
-         incr case;
-         let circ = Circ.of_gates ~nqubits:nq gs in
-         Vm.Engine.disable ();
-         let walk = State.basis nq start in
-         Circ.run circ walk;
-         let routed = State.basis nq start in
-         Vm.Engine.enable ();
-         Fun.protect ~finally:Vm.Engine.disable (fun () ->
-             Vm.Cache.with_context ~experiment:"prop" ~seed:!case
-               ~variant:"quick" (fun () ->
-                 Circ.run circ routed;
-                 (* And again through the hit path. *)
-                 Circ.run circ (State.basis nq start)));
-         states_identical walk routed));
     Test.make ~name:"bytecode machine = interpreter on random programs"
       ~count:200 program_case (fun (p, input, _cap) ->
         let reference = Program.interpret ~max_steps:2000 p input in
@@ -583,6 +418,7 @@ let suite =
     ("mcode header", `Quick, test_mcode_header);
     ("fallthrough elision", `Quick, test_fallthrough_elision);
     ("compile validates", `Quick, test_compile_validates);
+    ("compile rejects > 255 registers", `Quick, test_compile_rejects_wide_register_file);
     ("qcode register mismatch", `Quick, test_qcode_register_mismatch);
     ("machine gallery agrees", `Quick, test_mcode_gallery_agrees);
     ("step cap exact", `Quick, test_mcode_step_cap_exact);
@@ -590,15 +426,5 @@ let suite =
     ("machine goldens", `Quick, test_machine_goldens);
     ("circuit golden", `Quick, test_circuit_golden);
     ("disasm stable", `Quick, test_disasm_stable);
-    ("cache context", `Quick, test_cache_context);
-    ("cache tags", `Quick, test_cache_tags);
-    ("cache hit/miss counters", `Quick, test_cache_hit_miss_counters);
-    ("cache bypass", `Quick, test_cache_bypass);
-    ("cache invalidate on shape change", `Quick, test_cache_invalidate_on_shape_change);
-    ("cache hit executes identically", `Quick, test_cache_hit_executes_identically);
-    ("engine toggle", `Quick, test_engine_toggle);
-    ("engine env switch", `Quick, test_engine_env);
-    ("engine routes Circ.run", `Quick, test_engine_routes_circ_run);
-    ("registry reuse across invocations", `Slow, test_registry_reuse_across_invocations);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
